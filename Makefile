@@ -22,7 +22,7 @@ JOINT = BenchmarkJointDesign$$|BenchmarkJointDesignDense$$|BenchmarkJointRepair$
 BASELINE ?=
 BASEFLAG = $(if $(BASELINE),-baseline $(BASELINE),)
 
-.PHONY: build verify verify-ci test vet lint race soak drift-scenario feed-scenario bench bench-micro serve-smoke
+.PHONY: build verify verify-ci test vet lint race fuzz soak drift-scenario feed-scenario bench bench-micro serve-smoke
 
 build:
 	$(GO) build ./...
@@ -61,6 +61,14 @@ race:
 	$(GO) test -race ./internal/ot/ ./internal/core/ ./internal/vec/ \
 		./internal/fairmetrics/ ./internal/planstore/ ./internal/repairsvc/ \
 		./internal/blindsvc/ ./internal/shardrun/ ./internal/joint/
+
+# Native fuzzing, time-bounded: FuzzAliasReset feeds rng.Alias.Reset
+# arbitrary finite non-negative weights and checks that it never panics,
+# that a table rebuilt in place equals a fresh NewAlias, and that draws
+# stay in range. A failing input is written to the package's
+# testdata/fuzz directory; commit it as a regression case.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzAliasReset$$' -fuzztime 10s ./internal/rng/
 
 # Boot fairserved against synthetic data, repair through the full HTTP
 # round trip, and check byte-equivalence with the library path plus the E

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sort"
 
 	"otfair/internal/dataset"
@@ -23,32 +25,40 @@ type Diagnostics struct {
 
 // Repairer applies a joint Plan to off-sample records — Algorithm 2
 // generalized to whole feature vectors. Not safe for concurrent use: it
-// owns an RNG stream.
+// owns an RNG stream and the scratch its draws are built in.
 type Repairer struct {
 	plan *Plan
 	rng  *rng.RNG
 	diag Diagnostics
 	// alias caches one sampler per (u, s, row): archival torrents revisit
-	// the same rows constantly. The cache is bounded by total cached atoms
-	// (aliasAtomBudget), not row count: entropic rows over an 8 000-state
-	// product support carry thousands of atoms each, and the τ-Bernoulli
-	// snap keeps discovering new rows over an unbounded torrent, so an
-	// uncapped cache would grow to rows × states atoms. Eviction never
-	// changes outputs — a rebuilt sampler is identical, the draw consumes
-	// the same RNG stream.
+	// the same rows constantly. The cache fills once and never evicts: a
+	// row's sampler is kept only while the total cached atoms stay within
+	// aliasBudget, and every later miss is drawn from a sampler built in
+	// the scratch below. Entropic rows over an 8 000-state product support
+	// carry thousands of atoms each, so on such designs the cache holds the
+	// first few hundred rows met and the rest are drawn cold. Either way
+	// the sampler is bit-identical and the draw consumes the same RNG
+	// stream, so the budget never changes an output.
 	alias      map[aliasKey]*rowSampler
 	aliasAtoms int
 	// aliasBudget is aliasAtomBudget in production; tests shrink it to
-	// force eviction on small plans.
+	// send more rows down the scratch path.
 	aliasBudget int
-	// onEvict, when set (tests only), observes each eviction in order.
-	onEvict func(aliasKey)
+
+	// Cold-row scratch, sized at construction for the widest cell so a
+	// miss allocates nothing: the row conditional, its alias table and the
+	// table's worklist stack.
+	targets []int
+	probs   []float64
+	table   rng.Alias
+	stack   []int
+	// idx holds a record's per-axis snapped indices.
+	idx []int
 }
 
-// aliasAtomBudget bounds the alias cache at ~4M cached atoms (≈128 MB of
-// targets + probabilities + alias tables). Small cells (the 256-state
-// NQ=16, d=2 design has at most 1 024 distinct keys) never evict; the
-// 8 000-state designs cycle the working set instead of exhausting memory.
+// aliasAtomBudget bounds the alias cache at ~4M cached atoms (≈96 MB of
+// targets and alias tables). Small cells (the 256-state NQ=16, d=2 design
+// has at most 1 024 distinct keys) cache every row they meet.
 const aliasAtomBudget = 1 << 22
 
 type aliasKey struct {
@@ -58,9 +68,6 @@ type aliasKey struct {
 type rowSampler struct {
 	targets []int
 	table   *rng.Alias
-	// hits counts cache lookups that found this sampler; eviction sheds
-	// the coldest samplers first.
-	hits uint64
 }
 
 // NewRepairer binds a joint plan to a randomness source.
@@ -71,7 +78,20 @@ func NewRepairer(plan *Plan, r *rng.RNG) (*Repairer, error) {
 	if r == nil {
 		return nil, errors.New("joint: nil rng")
 	}
-	return &Repairer{plan: plan, rng: r, alias: make(map[aliasKey]*rowSampler), aliasBudget: aliasAtomBudget}, nil
+	states := 0
+	for _, cell := range plan.Cells {
+		states = max(states, cell.States())
+	}
+	return &Repairer{
+		plan:        plan,
+		rng:         r,
+		alias:       make(map[aliasKey]*rowSampler),
+		aliasBudget: aliasAtomBudget,
+		targets:     make([]int, 0, states),
+		probs:       make([]float64, 0, states),
+		stack:       make([]int, states),
+		idx:         make([]int, plan.Dim),
+	}, nil
 }
 
 // Diagnostics returns the counters accumulated so far.
@@ -91,12 +111,16 @@ func (rp *Repairer) RepairRecord(rec dataset.Record) (dataset.Record, error) {
 	if len(rec.X) != rp.plan.Dim {
 		return dataset.Record{}, fmt.Errorf("joint: record has %d features, want %d", len(rec.X), rp.plan.Dim)
 	}
-	cell := rp.plan.Cells[rec.U]
-	idx := make([]int, rp.plan.Dim)
 	for k, x := range rec.X {
-		idx[k] = rp.snapToAxis(cell.Grids[k], x)
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return dataset.Record{}, fmt.Errorf("joint: non-finite feature %d (%v)", k, x)
+		}
 	}
-	row := flatIndex(cell.Grids, idx)
+	cell := rp.plan.Cells[rec.U]
+	for k, x := range rec.X {
+		rp.idx[k] = rp.snapToAxis(cell.Grids[k], x)
+	}
+	row := flatIndex(cell.Grids, rp.idx)
 	j := rp.drawTarget(cell, rec.U, rec.S, row)
 	out := dataset.Record{X: append([]float64(nil), cell.Points[j]...), S: rec.S, U: rec.U}
 	rp.diag.Repaired++
@@ -138,72 +162,33 @@ func (rp *Repairer) snapToAxis(grid []float64, x float64) int {
 	return q
 }
 
-// drawTarget draws the repaired product state from plan row `row`.
+// drawTarget draws the repaired product state from plan row `row`. A
+// cached row draws from its sampler; a miss builds the row conditional and
+// its alias table in the repairer's scratch and draws from that, and keeps
+// a copy only while the cache is within its atom budget.
 func (rp *Repairer) drawTarget(cell *Cell, u, s, row int) int {
 	key := aliasKey{u: u, s: s, row: row}
-	sampler, ok := rp.alias[key]
+	if sampler, ok := rp.alias[key]; ok {
+		return sampler.targets[sampler.table.Draw(rp.rng)]
+	}
+	r := rp.nearestMassiveRow(cell, s, row)
+	if r != row {
+		rp.diag.EmptyRowFallbacks++
+	}
+	targets, probs, ok := cell.Plans[s].AppendRowConditional(r, rp.targets[:0], rp.probs[:0])
 	if !ok {
-		r := rp.nearestMassiveRow(cell, s, row)
-		if r != row {
-			rp.diag.EmptyRowFallbacks++
-		}
-		targets, probs, ok := cell.Plans[s].RowConditional(r)
-		if !ok {
-			panic("joint: plan has no mass in any row")
-		}
-		sampler = &rowSampler{targets: targets, table: rng.NewAlias(probs)}
-		if rp.aliasAtoms+len(targets) > rp.aliasBudget {
-			rp.evictAliases()
-		}
+		panic("joint: plan has no mass in any row")
+	}
+	rp.targets, rp.probs = targets, probs
+	table := &rp.table
+	if rp.aliasAtoms+len(targets) <= rp.aliasBudget {
+		sampler := &rowSampler{targets: slices.Clone(targets), table: &rng.Alias{}}
 		rp.alias[key] = sampler
 		rp.aliasAtoms += len(targets)
+		targets, table = sampler.targets, sampler.table
 	}
-	sampler.hits++
-	return sampler.targets[sampler.table.Draw(rp.rng)]
-}
-
-// evictAliases sheds about a quarter of the budget, coldest samplers
-// first with key order breaking ties — the victim set is a pure function
-// of the access history, never of map iteration order. Rebuilt samplers
-// are identical and the draw consumes the same RNG stream, so eviction
-// cannot change a single output draw either way; determinism here keeps
-// the cache's *working set* (and therefore rebuild cost and memory
-// profile) reproducible across runs of the same torrent.
-func (rp *Repairer) evictAliases() {
-	type candidate struct {
-		key   aliasKey
-		atoms int
-		hits  uint64
-	}
-	cands := make([]candidate, 0, len(rp.alias))
-	//otfair:nondet-ok candidates are fully sorted below; map order is erased
-	for k, cached := range rp.alias {
-		cands = append(cands, candidate{key: k, atoms: len(cached.targets), hits: cached.hits})
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		a, b := cands[i], cands[j]
-		if a.hits != b.hits {
-			return a.hits < b.hits
-		}
-		if a.key.u != b.key.u {
-			return a.key.u < b.key.u
-		}
-		if a.key.s != b.key.s {
-			return a.key.s < b.key.s
-		}
-		return a.key.row < b.key.row
-	})
-	shed := rp.aliasBudget / 4
-	for _, c := range cands {
-		rp.aliasAtoms -= c.atoms
-		delete(rp.alias, c.key)
-		if rp.onEvict != nil {
-			rp.onEvict(c.key)
-		}
-		if shed -= c.atoms; shed <= 0 {
-			return
-		}
-	}
+	rp.stack = table.Reset(probs, rp.stack)
+	return targets[table.Draw(rp.rng)]
 }
 
 // nearestMassiveRow returns row if it has mass, otherwise the row whose

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -182,19 +183,27 @@ func (p *Plan) CheckMarginals(source, target []float64, tol float64) error {
 // Rows with zero mass return ok == false; Algorithm 2 treats those as
 // "no plan evidence" and falls back to the nearest massive row.
 func (p *Plan) RowConditional(i int) (targets []int, probs []float64, ok bool) {
+	return p.AppendRowConditional(i, nil, nil)
+}
+
+// AppendRowConditional is RowConditional appending into caller-owned
+// slices: the conditional's atoms are appended to targets and probs, which
+// grow only when their capacity is short. A zero-mass row appends nothing
+// and returns ok == false.
+func (p *Plan) AppendRowConditional(i int, targets []int, probs []float64) ([]int, []float64, bool) {
 	row := p.Row(i)
 	total := 0.0
 	for _, e := range row {
 		total += e.Mass
 	}
 	if total <= 0 {
-		return nil, nil, false
+		return targets, probs, false
 	}
-	targets = make([]int, len(row))
-	probs = make([]float64, len(row))
-	for k, e := range row {
-		targets[k] = e.J
-		probs[k] = e.Mass / total
+	targets = slices.Grow(targets, len(row))
+	probs = slices.Grow(probs, len(row))
+	for _, e := range row {
+		targets = append(targets, e.J)
+		probs = append(probs, e.Mass/total)
 	}
 	return targets, probs, true
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"otfair/internal/vec"
 )
@@ -21,6 +22,10 @@ type RowPlan interface {
 	// RowConditional returns row i normalized into a conditional pmf over
 	// the target states; ok == false marks a zero-mass row.
 	RowConditional(i int) (targets []int, probs []float64, ok bool)
+	// AppendRowConditional appends RowConditional(i)'s atoms to targets
+	// and probs, growing them only when their capacity is short, so a
+	// caller that reuses its slices expands rows without allocating.
+	AppendRowConditional(i int, targets []int, probs []float64) ([]int, []float64, bool)
 	// SourceMarginal returns the plan's push-forward onto the source states.
 	SourceMarginal() []float64
 	// TargetMarginal returns the plan's push-forward onto the target states.
@@ -98,40 +103,65 @@ func (p *FactoredPlan) Scalings() (u, v []float64) { return p.u, p.v }
 // RowMass returns the cached total mass of source row i.
 func (p *FactoredPlan) RowMass(i int) float64 { return p.rowMass[i] }
 
-// row expands plan row i into dst: dst[j] = u_i · K_ij · v_j.
-func (p *FactoredPlan) row(dst []float64, i int) {
-	p.op.Row(dst, i)
-	ui := p.u[i]
-	for j, kij := range dst {
-		dst[j] = ui * kij * p.v[j]
-	}
-}
-
 // RowConditional materializes row i, truncates its sub-ulp atoms (folding
 // them into the dominant atom, exactly the TruncateSubUlp convention the
 // dense Sinkhorn plans apply), and returns the compacted conditional pmf.
-// Zero-mass rows (a zero-mass source state) return ok == false.
+// Zero-mass rows (a zero-mass source state) return ok == false. The
+// returned slices have room for a full row of m atoms.
 func (p *FactoredPlan) RowConditional(i int) (targets []int, probs []float64, ok bool) {
+	return p.AppendRowConditional(i, nil, nil)
+}
+
+// AppendRowConditional is RowConditional appending into caller-owned
+// slices. probs grows to spare capacity for a full row of m atoms, the row
+// is expanded there, and two passes turn it into the conditional in
+// place. The first expands u_i · K_ij · v_j, sums the row and finds its
+// dominant atom; the second drops the sub-ulp atoms and compacts the
+// survivors, normalized, onto targets and probs (an atom never moves
+// right, so it is read before its slot is reused). The arithmetic is
+// TruncateSubUlp's step for step — the sum and the fold both run over
+// ascending j, the folded mass lands on the dominant atom in one add, and
+// every atom is then divided by the unfolded row total — so the result is
+// bit-identical to truncating the expanded row and normalizing it. A
+// caller whose slices already have that capacity allocates nothing.
+func (p *FactoredPlan) AppendRowConditional(i int, targets []int, probs []float64) ([]int, []float64, bool) {
 	_, m := p.op.Dims()
-	buf := vec.GetBufRaw(m)
-	defer vec.PutBuf(buf)
-	p.row(buf, i)
-	total := 0.0
-	for _, x := range buf {
+	probs = slices.Grow(probs, m)
+	buf := probs[len(probs) : len(probs)+m]
+	p.op.Row(buf, i)
+	ui := p.u[i]
+	total, maxIdx := 0.0, -1
+	for j, kij := range buf {
+		x := ui * kij * p.v[j]
+		buf[j] = x
 		total += x
-	}
-	if total <= 0 {
-		return nil, nil, false
-	}
-	nnz := len(buf) - TruncateSubUlp(buf)
-	targets = make([]int, 0, nnz)
-	probs = make([]float64, 0, nnz)
-	for j, mass := range buf {
-		if mass > 0 {
-			targets = append(targets, j)
-			probs = append(probs, mass/total)
+		if maxIdx < 0 || x > buf[maxIdx] {
+			maxIdx = j
 		}
 	}
+	if total <= 0 {
+		return targets, probs, false
+	}
+	targets = slices.Grow(targets, m)
+	thresh := total * 0x1p-52
+	// Compaction can overwrite the dominant atom's slot before the fold is
+	// complete; keep its mass aside.
+	maxMass := buf[maxIdx]
+	folded, dominant := 0.0, -1
+	for j, x := range buf {
+		switch {
+		case j == maxIdx:
+			dominant = len(probs)
+		case !(x > 0):
+			continue
+		case x < thresh:
+			folded += x
+			continue
+		}
+		targets = append(targets, j)
+		probs = append(probs, x/total)
+	}
+	probs[dominant] = (maxMass + folded) / total
 	return targets, probs, true
 }
 

@@ -7,6 +7,11 @@ import "math"
 // per feature from the same nQ plan rows, so the per-draw cost matters when
 // repairing torrents of archival data; the alias table makes each draw two
 // uniforms and one comparison regardless of nQ.
+//
+// The zero value is an empty table; Reset fills it. A table rebuilt with
+// Reset reuses its own buffers, so a caller that redraws from a stream of
+// distinct rows (joint repair over a large product support) builds each
+// table without allocating.
 type Alias struct {
 	prob  []float64
 	alias []int
@@ -16,6 +21,19 @@ type Alias struct {
 // non-negative weight vector w. It panics on negative, NaN, or zero-total
 // weights for the same reason Categorical does.
 func NewAlias(w []float64) *Alias {
+	a := &Alias{}
+	a.Reset(w, nil)
+	return a
+}
+
+// Reset rebuilds the table from the weight vector w into its own buffers,
+// growing them only when w is longer than any vector the table has held.
+// stack is the Vose worklist scratch (one index per category); Reset grows
+// it when its capacity is short and returns it, so a caller that keeps the
+// returned slice rebuilds without allocating. The table is bit-identical to
+// NewAlias(w), and Reset panics on the same invalid weights, before
+// touching the table.
+func (a *Alias) Reset(w []float64, stack []int) []int {
 	n := len(w)
 	if n == 0 {
 		panic("rng: NewAlias called with empty weights")
@@ -31,57 +49,72 @@ func NewAlias(w []float64) *Alias {
 		panic("rng: NewAlias called with zero total mass")
 	}
 
-	a := &Alias{
-		prob:  make([]float64, n),
-		alias: make([]int, n),
-	}
+	a.prob = grow(a.prob, n)
+	a.alias = grow(a.alias, n)
 	if n == 1 {
 		// Degenerate table: exact monotone plan rows are 1–2 atoms, so the
 		// eager per-plan sampler builds thousands of these; skip the
 		// worklist machinery.
 		a.prob[0] = 1
-		return a
+		a.alias[0] = 0
+		return stack
 	}
-	// Scaled probabilities: mean 1.
-	scaled := make([]float64, n)
+	// prob holds the scaled probabilities (mean 1) while the worklists
+	// drain; a cell's entry is final once it leaves the small list.
+	prob := a.prob
 	for i, wi := range w {
-		scaled[i] = wi * float64(n) / total
+		prob[i] = wi * float64(n) / total
 	}
-	small := make([]int, 0, n)
-	large := make([]int, 0, n)
-	for i, p := range scaled {
+	// One n-slot stack holds both worklists: small grows up from 0, large
+	// grows down from n. An index sits in at most one list, so they never
+	// meet. Both are LIFO, in the order separate slices would give.
+	stack = grow(stack, n)
+	ns, nl := 0, n
+	for i, p := range prob {
 		if p < 1 {
-			small = append(small, i)
+			stack[ns] = i
+			ns++
 		} else {
-			large = append(large, i)
+			nl--
+			stack[nl] = i
 		}
 	}
-	for len(small) > 0 && len(large) > 0 {
-		s := small[len(small)-1]
-		small = small[:len(small)-1]
-		l := large[len(large)-1]
-		large = large[:len(large)-1]
+	for ns > 0 && nl < n {
+		ns--
+		s := stack[ns]
+		l := stack[nl]
+		nl++
 
-		a.prob[s] = scaled[s]
 		a.alias[s] = l
-		scaled[l] -= 1 - scaled[s]
-		if scaled[l] < 1 {
-			small = append(small, l)
+		prob[l] -= 1 - prob[s]
+		if prob[l] < 1 {
+			stack[ns] = l
+			ns++
 		} else {
-			large = append(large, l)
+			nl--
+			stack[nl] = l
 		}
 	}
-	for _, i := range large {
-		a.prob[i] = 1
+	for _, i := range stack[nl:n] {
+		prob[i] = 1
 		a.alias[i] = i
 	}
-	for _, i := range small {
+	for _, i := range stack[:ns] {
 		// Only reachable through floating-point round-off; these cells have
 		// scaled mass within ulps of 1.
-		a.prob[i] = 1
+		prob[i] = 1
 		a.alias[i] = i
 	}
-	return a
+	return stack
+}
+
+// grow returns s resliced to length n, reallocating only when its capacity
+// is short.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Len reports the number of categories.
