@@ -62,13 +62,19 @@ race:
 		./internal/fairmetrics/ ./internal/planstore/ ./internal/repairsvc/ \
 		./internal/blindsvc/ ./internal/shardrun/ ./internal/joint/
 
-# Native fuzzing, time-bounded: FuzzAliasReset feeds rng.Alias.Reset
+# Native fuzzing, 10 s per target. FuzzAliasReset feeds rng.Alias.Reset
 # arbitrary finite non-negative weights and checks that it never panics,
 # that a table rebuilt in place equals a fresh NewAlias, and that draws
-# stay in range. A failing input is written to the package's
-# testdata/fuzz directory; commit it as a regression case.
+# stay in range. FuzzCSVStream feeds arbitrary bytes to the CSV record
+# decoder (no panic; every decoded record round-trips through
+# AppendCSVRecord bit for bit) and FuzzAppendCSVRecord checks the row
+# encoder against encoding/csv on arbitrary labels and float bits. A
+# failing input is written to the package's testdata/fuzz directory;
+# commit it as a regression case.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzAliasReset$$' -fuzztime 10s ./internal/rng/
+	$(GO) test -run '^$$' -fuzz '^FuzzCSVStream$$' -fuzztime 10s ./internal/dataset/
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendCSVRecord$$' -fuzztime 10s ./internal/dataset/
 
 # Boot fairserved against synthetic data, repair through the full HTTP
 # round trip, and check byte-equivalence with the library path plus the E

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"bufio"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -13,28 +14,49 @@ import (
 
 // WriteCSV writes the table with a header row.
 func (t *Table) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	header := append([]string{"s", "u"}, t.names...)
-	if err := cw.Write(header); err != nil {
+	bw := bufio.NewWriter(w)
+	if err := WriteCSVHeader(bw, t.names); err != nil {
 		return fmt.Errorf("dataset: writing header: %w", err)
 	}
-	row := make([]string, 2+t.dim)
+	var line []byte
 	for i, r := range t.records {
-		if r.S == SUnknown {
-			row[0] = ""
-		} else {
-			row[0] = strconv.Itoa(r.S)
-		}
-		row[1] = strconv.Itoa(r.U)
-		for k, v := range r.X {
-			row[2+k] = strconv.FormatFloat(v, 'g', -1, 64)
-		}
-		if err := cw.Write(row); err != nil {
+		line = AppendCSVRecord(line[:0], r)
+		if _, err := bw.Write(line); err != nil {
 			return fmt.Errorf("dataset: writing record %d: %w", i, err)
 		}
 	}
+	return bw.Flush()
+}
+
+// WriteCSVHeader writes the "s,u,<feature names...>" header row through
+// encoding/csv, which quotes any feature name that needs it. The row
+// reaches w in one Write, with no flush of w.
+func WriteCSVHeader(w io.Writer, names []string) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write(append([]string{"s", "u"}, names...)); err != nil {
+		return err
+	}
 	cw.Flush()
 	return cw.Error()
+}
+
+// AppendCSVRecord appends one record row to dst: s (empty when unknown),
+// u, then each feature as strconv's shortest 'g' form, joined by commas
+// and ended by a newline. These are the bytes encoding/csv writes for the
+// same fields, because no integer or 'g'-formatted float — NaN and ±Inf
+// included — contains a comma, quote, line break or leading space that
+// would make it quote one.
+func AppendCSVRecord(dst []byte, rec Record) []byte {
+	if rec.S != SUnknown {
+		dst = strconv.AppendInt(dst, int64(rec.S), 10)
+	}
+	dst = append(dst, ',')
+	dst = strconv.AppendInt(dst, int64(rec.U), 10)
+	for _, v := range rec.X {
+		dst = append(dst, ',')
+		dst = strconv.AppendFloat(dst, v, 'g', -1, 64)
+	}
+	return append(dst, '\n')
 }
 
 // ReadCSV parses a table from the WriteCSV layout.

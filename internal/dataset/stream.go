@@ -53,6 +53,9 @@ type CSVStream struct {
 func NewCSVStream(r io.Reader) (*CSVStream, error) {
 	cr := csv.NewReader(r)
 	cr.TrimLeadingSpace = true
+	// parseRow keeps no field of the row it parses, so the reader may
+	// reuse one row slice for the whole stream.
+	cr.ReuseRecord = true
 	header, err := cr.Read()
 	if err != nil {
 		return nil, fmt.Errorf("dataset: reading stream header: %w", err)

@@ -13,6 +13,8 @@ package monitor
 import (
 	"errors"
 	"fmt"
+	"math"
+	"sort"
 
 	"otfair/internal/core"
 	"otfair/internal/dataset"
@@ -113,42 +115,56 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// cellState is one (u,s,k) rolling window.
+// cellState is one (u,s,k) rolling window. It holds grid indices, not
+// feature values: every statistic compares the window against a reference
+// that steps only at the cell's grid atoms Q, so all a check needs is how
+// many window entries sit below and at each atom. An entry x has lo, the
+// index of the first atom ≥ x, and hi, the index of the first atom > x.
+// The two histograms count entries by lo and by hi over [0, NQ], so
+// #{x ≤ Q[i]} and #{x < Q[i]} are prefix sums of them. An entry costs one
+// binary search on arrival and two decrements on eviction, and a check is
+// one O(NQ) walk with no copy, no sort and no allocation.
 type cellState struct {
-	ring     []float64
-	n        int   // filled length (≤ cap)
-	next     int   // ring write position
-	sinceChk int   // observations since last check
-	cooldown int   // observations to skip alarming for
-	observed int64 // lifetime observations
+	// ring holds lo<<1 | tie per window entry, tie being 1 when x equals
+	// Q[lo]; hi follows from the two (see firstAbove).
+	ring     []int32
+	lo, hi   []int32 // entry counts by lo and by hi, NQ+1 each
+	n        int     // filled length (≤ len(ring))
+	next     int     // ring write position
+	sinceChk int     // observations since last check
+	cooldown int     // observations to skip alarming for
+	observed int64   // lifetime observations
 	// ksRatio and psiRatio are the statistic/threshold ratios of the most
 	// recent check — a continuous drift score (≥ 1 means alarming), kept
 	// even when no alarm fires so dashboards and the drift-watch loop can
 	// see drift building and, after a recalibration, receding.
 	ksRatio, psiRatio float64
-}
-
-// psiRef is the coarse-binned reference one cell's PSI compares against:
-// roughly equal-expected-mass bins, the industry convention that keeps the
-// index stable at rolling-window sample sizes (fine 50-state bins put ~5
-// observations in each and the index never settles).
-type psiRef struct {
-	// edges are right-closed upper bounds in feature units; the last bin is
-	// unbounded.
-	edges    []float64
-	expected []float64
+	// nRef is the research group size n_{R,u,s} (0 when unrecorded).
+	nRef int
+	// psiEdges are the grid indices of the coarse PSI bins' right-closed
+	// upper edges (the last bin is unbounded) and psiExpected their
+	// reference masses: roughly equal-expected-mass bins, the industry
+	// convention that keeps the index stable at rolling-window sample
+	// sizes (fine 50-state bins put ~5 observations in each and the index
+	// never settles). Every edge is a grid atom, so a bin's observed count
+	// is a difference of lo prefix sums.
+	psiEdges    []int
+	psiExpected []float64
 }
 
 // Monitor watches a record stream against a designed plan. Not safe for
 // concurrent use.
 type Monitor struct {
-	plan  *core.Plan
-	opts  Options
-	cells map[[3]int]*cellState
-	psi   map[[3]int]*psiRef
-	rng   *rng.RNG // nil unless Options.Dither
-	seen  int64
-	fired int64
+	plan *core.Plan
+	opts Options
+	// cells is indexed ((u·2)+s)·Dim + k; a cell is nil until first
+	// observed, so unlabelled traffic costs no window memory.
+	cells []*cellState
+	// psiObs is the observed-pmf scratch every check reuses.
+	psiObs [psiBinCount]float64
+	rng    *rng.RNG // nil unless Options.Dither
+	seen   int64
+	fired  int64
 }
 
 // New builds a monitor for the plan the deployment repairs with.
@@ -166,8 +182,7 @@ func New(plan *core.Plan, opts Options) (*Monitor, error) {
 	m := &Monitor{
 		plan:  plan,
 		opts:  opts,
-		cells: make(map[[3]int]*cellState),
-		psi:   make(map[[3]int]*psiRef),
+		cells: make([]*cellState, 4*plan.Dim),
 	}
 	if opts.Dither {
 		seed := opts.Seed
@@ -204,8 +219,12 @@ type Summary struct {
 // Snapshot summarizes the monitor's current state. Like every Monitor
 // method it must not race Observe; callers serialize access.
 func (m *Monitor) Snapshot() Summary {
-	s := Summary{Seen: m.seen, Fired: m.fired, WatchedCells: len(m.cells)}
+	s := Summary{Seen: m.seen, Fired: m.fired}
 	for _, cs := range m.cells {
+		if cs == nil {
+			continue
+		}
+		s.WatchedCells++
 		if cs.n == len(cs.ring) {
 			s.FullWindows++
 		}
@@ -221,7 +240,8 @@ func (m *Monitor) Snapshot() Summary {
 
 // Observe ingests one labelled record and returns any alarms it triggers
 // (usually none). Records with unknown s are ignored: the monitor watches
-// the same (u,s,k)-cells the plans are indexed by.
+// the same (u,s,k)-cells the plans are indexed by. A record with a NaN or
+// infinite feature is an error and leaves the monitor untouched.
 func (m *Monitor) Observe(rec dataset.Record) ([]Alarm, error) {
 	if rec.S == dataset.SUnknown {
 		return nil, nil
@@ -232,26 +252,27 @@ func (m *Monitor) Observe(rec dataset.Record) ([]Alarm, error) {
 	if len(rec.X) != m.plan.Dim {
 		return nil, fmt.Errorf("monitor: record has %d features, want %d", len(rec.X), m.plan.Dim)
 	}
+	for k, x := range rec.X {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return nil, fmt.Errorf("monitor: non-finite feature %d (%v)", k, x)
+		}
+	}
 	m.seen++
 	var alarms []Alarm
+	cells := m.cells[(rec.U*2+rec.S)*m.plan.Dim:]
 	for k, x := range rec.X {
-		key := [3]int{rec.U, rec.S, k}
-		cs := m.cells[key]
+		cell := m.plan.Cell(rec.U, k)
+		cs := cells[k]
 		if cs == nil {
-			cs = &cellState{ring: make([]float64, m.opts.Window)}
-			m.cells[key] = cs
+			cs = m.watch(cell, rec.U, rec.S)
+			cells[k] = cs
 		}
 		if m.rng != nil {
-			cell := m.plan.Cell(rec.U, k)
 			if h := cell.H[rec.S]; h > 0 && !cell.Degenerate {
 				x += h * kde.Sample(m.plan.Opts.Kernel, m.rng)
 			}
 		}
-		cs.ring[cs.next] = x
-		cs.next = (cs.next + 1) % len(cs.ring)
-		if cs.n < len(cs.ring) {
-			cs.n++
-		}
+		cs.push(cell.Q, x)
 		cs.observed++
 		cs.sinceChk++
 		if cs.cooldown > 0 {
@@ -262,53 +283,140 @@ func (m *Monitor) Observe(rec dataset.Record) ([]Alarm, error) {
 			continue
 		}
 		cs.sinceChk = 0
-		a, err := m.check(rec.U, rec.S, k, cs)
-		if err != nil {
+		before := len(alarms)
+		var err error
+		if alarms, err = m.check(rec.U, rec.S, k, cs, alarms); err != nil {
 			return nil, err
 		}
-		if len(a) > 0 {
+		if fired := len(alarms) - before; fired > 0 {
 			cs.cooldown = m.opts.Cooldown
-			m.fired += int64(len(a))
-			alarms = append(alarms, a...)
+			m.fired += int64(fired)
 		}
 	}
 	return alarms, nil
 }
 
-// check runs both statistics for one full window.
-func (m *Monitor) check(u, s, k int, cs *cellState) ([]Alarm, error) {
+// watch builds a cell's window on its first observation.
+func (m *Monitor) watch(cell *core.Cell, u, s int) *cellState {
+	nq := len(cell.Q)
+	cs := &cellState{
+		ring: make([]int32, m.opts.Window),
+		lo:   make([]int32, nq+1),
+		hi:   make([]int32, nq+1),
+		nRef: m.plan.GroupSizes[dataset.Group{U: u, S: s}],
+	}
+	if cell.Degenerate {
+		return cs // never checked
+	}
+	cum, binMass := 0.0, 0.0
+	bin := 1
+	for i, p := range cell.PMF[s] {
+		cum += p
+		binMass += p
+		if cum >= float64(bin)/psiBinCount && bin < psiBinCount && i < nq-1 {
+			cs.psiEdges = append(cs.psiEdges, i)
+			cs.psiExpected = append(cs.psiExpected, binMass)
+			binMass = 0
+			bin++
+		}
+	}
+	cs.psiExpected = append(cs.psiExpected, binMass)
+	return cs
+}
+
+// push enters x into the window on grid q, evicting the oldest entry once
+// the window is full.
+func (cs *cellState) push(q []float64, x float64) {
+	if cs.n == len(cs.ring) {
+		old := cs.ring[cs.next]
+		lo := int(old >> 1)
+		cs.lo[lo]--
+		cs.hi[firstAbove(q, lo, old&1 == 1)]--
+	} else {
+		cs.n++
+	}
+	lo := sort.SearchFloat64s(q, x)
+	tie := lo < len(q) && q[lo] == x
+	cs.ring[cs.next] = int32(lo) << 1
+	if tie {
+		cs.ring[cs.next] |= 1
+	}
+	cs.lo[lo]++
+	cs.hi[firstAbove(q, lo, tie)]++
+	cs.next++
+	if cs.next == len(cs.ring) {
+		cs.next = 0
+	}
+}
+
+// firstAbove is the index of the first atom of q above x, given lo, the
+// index of the first atom ≥ x, and whether x equals q[lo].
+func firstAbove(q []float64, lo int, tie bool) int {
+	if !tie {
+		return lo
+	}
+	hi := lo + 1
+	for hi < len(q) && q[hi] == q[lo] {
+		hi++
+	}
+	return hi
+}
+
+// check runs both statistics for one full window, appending any alarms to
+// dst. The KS statistic and the observed PSI pmf are bit-identical to
+// KSAgainstPMF and a right-closed binning of the window's values: both are
+// the same integer counts divided by the same window length.
+func (m *Monitor) check(u, s, k int, cs *cellState, dst []Alarm) ([]Alarm, error) {
 	cell := m.plan.Cell(u, k)
 	if cell.Degenerate {
-		return nil, nil
+		return dst, nil
 	}
-	window := make([]float64, cs.n)
-	copy(window, cs.ring[:cs.n])
+	grid, pmf := cell.Q, cell.PMF[s]
+	if len(grid) != len(pmf) || len(grid) == 0 {
+		return dst, errors.New("monitor: grid/pmf mismatch")
+	}
+	n := float64(cs.n)
+	observed := m.psiObs[:len(cs.psiEdges)+1]
+	ks, cum := 0.0, 0.0
+	var below, atOrBelow, binStart int32 // #{x < Q[i]}, #{x ≤ Q[i]}, #{x ≤ last edge}
+	b := 0
+	for i := range grid {
+		// Just before the atom the reference CDF is cum; at it, cum+pmf[i].
+		below += cs.hi[i]
+		if d := math.Abs(float64(below)/n - cum); d > ks {
+			ks = d
+		}
+		cum += pmf[i]
+		atOrBelow += cs.lo[i]
+		if d := math.Abs(float64(atOrBelow)/n - cum); d > ks {
+			ks = d
+		}
+		if b < len(cs.psiEdges) && cs.psiEdges[b] == i {
+			observed[b] = float64(atOrBelow-binStart) / n
+			binStart = atOrBelow
+			b++
+		}
+	}
+	observed[b] = float64(int32(cs.n)-binStart) / n
 
-	var alarms []Alarm
-	ks, err := KSAgainstPMF(window, cell.Q, cell.PMF[s])
-	if err != nil {
-		return nil, err
-	}
 	// The reference marginal was estimated from n_{R,u,s} research points,
 	// so it carries sampling error of its own: the threshold is the
 	// two-sample critical value with the research group as the second
 	// sample. Without recorded group sizes, fall back to the (stricter)
 	// one-sample bound.
 	crit := KSOneSampleCritical(cs.n, m.opts.Alpha)
-	if nRef := m.plan.GroupSizes[dataset.Group{U: u, S: s}]; nRef > 0 {
-		crit = KSCritical(nRef, cs.n, m.opts.Alpha)
+	if cs.nRef > 0 {
+		crit = KSCritical(cs.nRef, cs.n, m.opts.Alpha)
 	}
 	if crit > 0 {
 		cs.ksRatio = ks / crit
 	}
 	if ks > crit {
-		alarms = append(alarms, Alarm{U: u, S: s, K: k, Kind: AlarmKS, Stat: ks, Threshold: crit, Window: cs.n, Seen: m.seen})
+		dst = append(dst, Alarm{U: u, S: s, K: k, Kind: AlarmKS, Stat: ks, Threshold: crit, Window: cs.n, Seen: m.seen})
 	}
-	ref := m.psiRef(u, s, k, cell)
-	observed := binByEdges(window, ref.edges)
-	psi, err := PSI(ref.expected, observed)
+	psi, err := PSI(cs.psiExpected, observed)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	// Under the null, PSI on B bins behaves like a scaled χ² with
 	// expectation ≈ B·(1/n_window + 1/n_ref): both the window and the
@@ -316,60 +424,18 @@ func (m *Monitor) check(u, s, k int, cs *cellState) ([]Alarm, error) {
 	// alarm threshold by twice that expectation so small research groups
 	// do not page on their own estimation error.
 	thr := m.opts.PSIWarn + 2*float64(psiBinCount)/float64(cs.n)
-	if nRef := m.plan.GroupSizes[dataset.Group{U: u, S: s}]; nRef > 0 {
-		thr += 2 * float64(psiBinCount) / float64(nRef)
+	if cs.nRef > 0 {
+		thr += 2 * float64(psiBinCount) / float64(cs.nRef)
 	}
 	if thr > 0 {
 		cs.psiRatio = psi / thr
 	}
 	if psi > thr {
-		alarms = append(alarms, Alarm{U: u, S: s, K: k, Kind: AlarmPSI, Stat: psi, Threshold: thr, Window: cs.n, Seen: m.seen})
+		dst = append(dst, Alarm{U: u, S: s, K: k, Kind: AlarmPSI, Stat: psi, Threshold: thr, Window: cs.n, Seen: m.seen})
 	}
-	return alarms, nil
+	return dst, nil
 }
 
 // psiBinCount is the number of coarse PSI bins (the industry-standard
 // decile convention).
 const psiBinCount = 10
-
-// psiRef builds (and caches) the coarse equal-mass binning of one cell's
-// design pmf.
-func (m *Monitor) psiRef(u, s, k int, cell *core.Cell) *psiRef {
-	key := [3]int{u, s, k}
-	if ref := m.psi[key]; ref != nil {
-		return ref
-	}
-	ref := &psiRef{}
-	cum, binMass := 0.0, 0.0
-	bin := 1
-	for i, p := range cell.PMF[s] {
-		cum += p
-		binMass += p
-		if cum >= float64(bin)/psiBinCount && bin < psiBinCount && i < len(cell.Q)-1 {
-			ref.edges = append(ref.edges, cell.Q[i])
-			ref.expected = append(ref.expected, binMass)
-			binMass = 0
-			bin++
-		}
-	}
-	ref.expected = append(ref.expected, binMass)
-	m.psi[key] = ref
-	return ref
-}
-
-// binByEdges histograms a sample into the right-closed bins bounded by
-// edges (last bin unbounded) and normalizes to a pmf.
-func binByEdges(sample, edges []float64) []float64 {
-	counts := make([]float64, len(edges)+1)
-	for _, x := range sample {
-		b := 0
-		for b < len(edges) && x > edges[b] {
-			b++
-		}
-		counts[b]++
-	}
-	for i := range counts {
-		counts[i] /= float64(len(sample))
-	}
-	return counts
-}

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"io"
+	"math"
 	"testing"
 
 	"otfair/internal/adult"
@@ -337,5 +338,82 @@ func TestDitherQuietsAtomicFeatures(t *testing.T) {
 	}
 	if raw <= dithered {
 		t.Errorf("dithering did not reduce alarms (%d → %d)", raw, dithered)
+	}
+}
+
+func TestObserveRejectsNonFinite(t *testing.T) {
+	// A non-finite feature is an error that leaves the monitor untouched:
+	// no counter, window or dithering draw moves, so a monitor that was
+	// shown the bad records stays identical to one that never saw them.
+	plan, sampler := designPaperPlan(t, 15, 600)
+	opts := Options{Window: 16, Dither: true}
+	clean, err := New(plan, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	poked, err := New(plan, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	r := rng.New(16)
+	for i := 0; i < 600; i++ {
+		rec := sampler.Draw(r)
+		if i%50 == 0 {
+			x := append([]float64(nil), rec.X...)
+			x[i%2] = bad[(i/50)%len(bad)]
+			before := poked.Snapshot()
+			if _, err := poked.Observe(dataset.Record{X: x, S: rec.S, U: rec.U}); err == nil {
+				t.Fatalf("feature %v accepted", x)
+			}
+			if after := poked.Snapshot(); after != before {
+				t.Fatalf("rejected record moved the monitor: %+v → %+v", before, after)
+			}
+		}
+		a, err := clean.Observe(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := poked.Observe(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameAlarms(a, b) {
+			t.Fatalf("record %d: alarms %v vs %v", i, a, b)
+		}
+	}
+	if a, b := clean.Snapshot(), poked.Snapshot(); !sameSummary(a, b) {
+		t.Errorf("snapshots diverged: %+v vs %+v", a, b)
+	}
+}
+
+func TestObserveWarmCheckAllocatesNothing(t *testing.T) {
+	// Once a cell's window is full, an observation that runs both
+	// statistics and raises no alarm touches only preallocated state. The
+	// thresholds are set out of reach so every check stays quiet.
+	plan, sampler := designPaperPlan(t, 17, 600)
+	for _, dither := range []bool{false, true} {
+		m, err := New(plan, Options{Window: 8, CheckEvery: 1, Alpha: 1e-300, PSIWarn: 1e9, Dither: dither})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rng.New(18)
+		rec := sampler.Draw(r)
+		for i := 0; i < 16; i++ {
+			if _, err := m.Observe(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if s := m.Snapshot(); s.FullWindows != plan.Dim || s.MaxKSRatio == 0 {
+			t.Fatalf("windows not full and checked: %+v", s)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			if alarms, err := m.Observe(rec); err != nil || alarms != nil {
+				t.Fatalf("Observe = (%v, %v)", alarms, err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("dither=%v: warm Observe allocates %v times per call", dither, allocs)
+		}
 	}
 }

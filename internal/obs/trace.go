@@ -19,6 +19,10 @@ const (
 	// StageDecode accumulates wire-format parsing (per record, sampled
 	// requests only — see Trace.Sampled).
 	StageDecode
+	// StageTap accumulates the observability tap: record validation, the
+	// drift monitor, the rolling E-metric windows and the drift reservoir
+	// (per record, sampled requests only).
+	StageTap
 	// StageShardExecute covers the repair engines and the shard runner.
 	StageShardExecute
 	// StageEncode accumulates wire-format rendering (per record, sampled
@@ -30,7 +34,7 @@ const (
 	NumStages = int(StageFlush) + 1
 )
 
-var stageNames = [NumStages]string{"admission", "spool", "decode", "shard_execute", "encode", "flush"}
+var stageNames = [NumStages]string{"admission", "spool", "decode", "tap", "shard_execute", "encode", "flush"}
 
 func (s Stage) String() string {
 	if int(s) < NumStages {
@@ -69,7 +73,7 @@ func (t *Trace) ID() string {
 }
 
 // Sampled reports whether this trace records fine-grained (per-record)
-// stages — decode and encode — in addition to the coarse request-level
+// stages — decode, tap and encode — in addition to the coarse request-level
 // spans every trace records. False on nil.
 func (t *Trace) Sampled() bool {
 	return t != nil && t.sampled
@@ -93,7 +97,7 @@ func (t *Trace) End(st Stage) {
 }
 
 // Add accumulates an externally measured duration into a stage — the
-// per-record path for sampled decode/encode spans.
+// per-record path for sampled decode/tap/encode spans.
 func (t *Trace) Add(st Stage, d time.Duration) {
 	if t == nil {
 		return
@@ -111,7 +115,7 @@ func (t *Trace) Get(st Stage) time.Duration {
 
 // Set replaces a stage's duration — used to back out sampled sub-spans
 // from an enclosing wall measurement (shard_execute = run wall − decode −
-// encode).
+// tap − encode).
 func (t *Trace) Set(st Stage, d time.Duration) {
 	if t == nil {
 		return

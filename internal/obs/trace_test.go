@@ -140,7 +140,7 @@ func TestTracerConcurrentIDsUnique(t *testing.T) {
 
 func TestStageNames(t *testing.T) {
 	names := StageNames()
-	want := []string{"admission", "spool", "decode", "shard_execute", "encode", "flush"}
+	want := []string{"admission", "spool", "decode", "tap", "shard_execute", "encode", "flush"}
 	for i, w := range want {
 		if names[i] != w {
 			t.Fatalf("stage %d = %q, want %q", i, names[i], w)

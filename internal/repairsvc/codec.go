@@ -2,12 +2,10 @@ package repairsvc
 
 import (
 	"bufio"
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 
 	"otfair/internal/core"
 	"otfair/internal/dataset"
@@ -26,34 +24,32 @@ func (s *Server) csvPipe(w http.ResponseWriter, body io.Reader, plan *core.Plan)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	var cw *csv.Writer
-	row := make([]string, 2+plan.Dim)
-	ensure := func() {
-		if cw != nil {
-			return
+	var (
+		bw   *bufio.Writer
+		line []byte // one reused row buffer
+	)
+	ensure := func() error {
+		if bw != nil {
+			return nil
 		}
 		w.Header().Set("Content-Type", "text/csv")
 		w.WriteHeader(http.StatusOK)
-		cw = csv.NewWriter(w)
-		cw.Write(append([]string{"s", "u"}, plan.Names...))
+		bw = bufio.NewWriterSize(w, 4096)
+		return dataset.WriteCSVHeader(bw, plan.Names)
 	}
 	sink := func(rec dataset.Record) error {
-		ensure()
-		if rec.S == dataset.SUnknown {
-			row[0] = ""
-		} else {
-			row[0] = strconv.Itoa(rec.S)
+		if err := ensure(); err != nil {
+			return err
 		}
-		row[1] = strconv.Itoa(rec.U)
-		for k, v := range rec.X {
-			row[2+k] = strconv.FormatFloat(v, 'g', -1, 64)
-		}
-		return cw.Write(row)
+		line = dataset.AppendCSVRecord(line[:0], rec)
+		_, err := bw.Write(line)
+		return err
 	}
 	finish := func() error {
-		ensure() // header-only response for an empty stream
-		cw.Flush()
-		return cw.Error()
+		if err := ensure(); err != nil { // header-only response for an empty stream
+			return err
+		}
+		return bw.Flush()
 	}
 	return in, sink, finish, nil
 }

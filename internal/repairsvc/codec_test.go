@@ -2,11 +2,17 @@ package repairsvc
 
 import (
 	"bytes"
+	"encoding/csv"
 	"encoding/json"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
+
+	"otfair/internal/core"
+	"otfair/internal/dataset"
+	"otfair/internal/rng"
 )
 
 // The NDJSON error-path contract: a request that fails after the response
@@ -122,5 +128,50 @@ func TestNDJSONMissingColumnAborts(t *testing.T) {
 	}
 	if status == http.StatusOK {
 		t.Fatalf("missing-column first record accepted: %s", read)
+	}
+}
+
+// TestServeCSVMatchesCSVWriter pins the CSV sink to the encoding/csv
+// rendering it replaced: a workers=1 repair of a plan whose feature names
+// need quoting comes back as exactly the bytes a csv.Writer gives for the
+// header and the library repair's FormatFloat rows.
+func TestServeCSVMatchesCSVWriter(t *testing.T) {
+	plan, _, archive := testData(t, 73, 250, 600, 25)
+	plan.Names = []string{"hours, weekly", `grade "A"`}
+	srv, id := newTestServer(t, plan)
+	resp := postCSV(t, srv.URL+"/v1/repair?plan="+id+"&seed=9&workers=1", archive)
+	defer resp.Body.Close()
+	served, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("repair: %s %v: %s", resp.Status, err, served)
+	}
+
+	rp, err := core.NewRepairer(plan, rng.New(9), core.RepairOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	repaired, err := rp.RepairTable(archive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	cw := csv.NewWriter(&want)
+	cw.Write(append([]string{"s", "u"}, plan.Names...))
+	for _, rec := range repaired.Records() {
+		row := []string{"", strconv.Itoa(rec.U)}
+		if rec.S != dataset.SUnknown {
+			row[0] = strconv.Itoa(rec.S)
+		}
+		for _, v := range rec.X {
+			row = append(row, strconv.FormatFloat(v, 'g', -1, 64))
+		}
+		cw.Write(row)
+	}
+	cw.Flush()
+	if !bytes.Equal(served, want.Bytes()) {
+		t.Fatalf("served CSV differs from the csv.Writer rendering (%d vs %d bytes)", len(served), want.Len())
+	}
+	if !bytes.HasPrefix(served, []byte(`s,u,"hours, weekly","grade ""A"""`+"\n")) {
+		t.Errorf("header not quoted: %q", served[:bytes.IndexByte(served, '\n')+1])
 	}
 }

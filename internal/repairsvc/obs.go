@@ -121,7 +121,7 @@ func newServerObs(s *Server) *serverObs {
 	}
 	for i, name := range obs.StageNames() {
 		om.stageSeconds[i] = reg.HistogramL("otfair_repair_stage_seconds",
-			"Repair request time by stage (decode/encode only on trace-sampled requests).",
+			"Repair request time by stage (decode/tap/encode only on trace-sampled requests).",
 			//otfair:cardinality-ok StageNames is obs's fixed compile-time stage list
 			lat, "stage", name)
 	}

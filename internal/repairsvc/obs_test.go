@@ -278,9 +278,11 @@ func TestSlowRequestTrackingAndLogging(t *testing.T) {
 	if _, ok := sr.Stages["shard_execute"]; !ok {
 		t.Errorf("slow record missing shard_execute stage: %v", sr.Stages)
 	}
-	// Sampled at 1: the decode span was timed per record.
-	if _, ok := sr.Stages["decode"]; !ok {
-		t.Errorf("sampled slow record missing decode stage: %v", sr.Stages)
+	// Sampled at 1: the decode and tap spans were timed per record.
+	for _, st := range []string{"decode", "tap"} {
+		if _, ok := sr.Stages[st]; !ok {
+			t.Errorf("sampled slow record missing %s stage: %v", st, sr.Stages)
+		}
 	}
 	if !strings.Contains(sr.Detail, "plan="+id) {
 		t.Errorf("detail %q missing plan fingerprint", sr.Detail)

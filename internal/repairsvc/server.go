@@ -94,7 +94,7 @@ type ServerOptions struct {
 	// repair request is counted slow, retained in the slow ring (surfaced
 	// by /v1/metrics) and logged at Warn (0 = slow tracking off).
 	SlowRequest time.Duration
-	// TraceSample turns on fine-grained per-record decode/encode span
+	// TraceSample turns on fine-grained per-record decode/tap/encode span
 	// timing for every N-th repair request (1 = all, 0 = never). Coarse
 	// request-level stage spans are always recorded; sampling only gates
 	// the spans that cost a clock read per record.
@@ -1039,29 +1039,36 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	}
 	tapped := &tapStream{inner: observed, tap: tap, tr: tr}
 	repairedSink := func(rec dataset.Record) error {
+		// Per-record tap and encode timing only on trace-sampled requests:
+		// the clock reads are the cost being sampled away.
+		var start time.Time
+		sampled := tr.Sampled()
+		if sampled {
+			start = time.Now() //otfair:nondet-ok sampled-trace tap timing; trace spans never reach repaired records
+		}
 		ps.mu.Lock()
 		ps.repaired.add(rec)
 		ps.mu.Unlock()
-		// Per-record encode timing only on trace-sampled requests: the
-		// clock reads are the cost being sampled away.
-		if tr.Sampled() {
-			start := time.Now() //otfair:nondet-ok sampled-trace encode timing; trace spans never reach repaired records
-			err := sink(rec)
-			//otfair:nondet-ok sampled-trace encode timing; trace spans never reach repaired records
-			tr.Add(obs.StageEncode, time.Since(start))
-			return err
+		if !sampled {
+			return sink(rec)
 		}
-		return sink(rec)
+		encStart := time.Now() //otfair:nondet-ok sampled-trace tap/encode timing; trace spans never reach repaired records
+		tr.Add(obs.StageTap, encStart.Sub(start))
+		err := sink(rec)
+		//otfair:nondet-ok sampled-trace encode timing; trace spans never reach repaired records
+		tr.Add(obs.StageEncode, time.Since(encStart))
+		return err
 	}
 
-	// The run wall covers decode, repair and encode interleaved; the
-	// sampled decode/encode accumulators are backed out so shard_execute
-	// reports engine time. Unsampled requests report the whole wall there.
+	// The run wall covers decode, tap, repair and encode interleaved; the
+	// sampled decode/tap/encode accumulators are backed out so
+	// shard_execute reports engine time. Unsampled requests report the
+	// whole wall there.
 	runStart := time.Now() //otfair:nondet-ok trace stage wall-clock accounting; trace spans never reach repaired records
 	n, err := run(ctx, rng.New(seed), tapped, repairedSink)
 	records = n
 	//otfair:nondet-ok trace stage wall-clock accounting; trace spans never reach repaired records
-	tr.Set(obs.StageShardExecute, time.Since(runStart)-tr.Get(obs.StageDecode)-tr.Get(obs.StageEncode))
+	tr.Set(obs.StageShardExecute, time.Since(runStart)-tr.Get(obs.StageDecode)-tr.Get(obs.StageTap)-tr.Get(obs.StageEncode))
 	// Feed the drift state machine once per request (not per record): the
 	// monitor's window statistics barely move within one stream, and a
 	// per-request cadence is what AlarmAfter consecutive alarming updates
@@ -1166,8 +1173,9 @@ func (t *trackedResponse) Write(b []byte) (int, error) {
 type tapStream struct {
 	inner dataset.Stream
 	tap   func(dataset.Record)
-	// tr accumulates per-record decode time on trace-sampled requests
-	// (nil-safe; Next is called serially from the request goroutine).
+	// tr accumulates per-record decode and tap time on trace-sampled
+	// requests (nil-safe; Next is called serially from the request
+	// goroutine).
 	tr *obs.Trace
 }
 
@@ -1179,8 +1187,10 @@ func (t *tapStream) Next() (dataset.Record, error) {
 	}
 	rec, err := t.inner.Next()
 	if sampled {
-		//otfair:nondet-ok sampled-trace decode timing; trace spans never reach repaired records
-		t.tr.Add(obs.StageDecode, time.Since(start))
+		// One clock read ends decode and starts tap (validation included).
+		now := time.Now() //otfair:nondet-ok sampled-trace decode/tap timing; trace spans never reach repaired records
+		t.tr.Add(obs.StageDecode, now.Sub(start))
+		start = now
 	}
 	if err != nil {
 		return rec, err
@@ -1189,6 +1199,10 @@ func (t *tapStream) Next() (dataset.Record, error) {
 		return dataset.Record{}, err
 	}
 	t.tap(rec)
+	if sampled {
+		//otfair:nondet-ok sampled-trace tap timing; trace spans never reach repaired records
+		t.tr.Add(obs.StageTap, time.Since(start))
+	}
 	return rec, nil
 }
 
